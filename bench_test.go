@@ -146,6 +146,24 @@ func BenchmarkDesignerTimeTable(b *testing.B) {
 
 var benchSink int64
 
+// BenchmarkDesignerColdD695 measures building a fresh Designer's time
+// table for every testable d695 module: the cold cost a never-seen chip
+// revision pays before Step 1 can start.
+func BenchmarkDesignerColdD695(b *testing.B) {
+	s := benchdata.Shared("d695")
+	modules := s.TestableModules()
+	b.ReportAllocs()
+	var sum int64
+	for i := 0; i < b.N; i++ {
+		d := wrapper.NewDesigner(s)
+		for _, mi := range modules {
+			tt := d.TimeTable(mi)
+			sum += tt[len(tt)-1]
+		}
+	}
+	benchSink = sum
+}
+
 // BenchmarkStep1D695 measures the full Step 1 design of d695 at 64K.
 func BenchmarkStep1D695(b *testing.B) {
 	s := benchdata.Shared("d695")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"sync/atomic"
 
 	"multisite/internal/benchdata"
@@ -125,15 +126,16 @@ func (s *Server) redirectRemote(w http.ResponseWriter, r *http.Request, key stri
 }
 
 // builtinHashes memoizes name → canonical hash for the built-in
-// benchmark SOCs, for routing-key derivation outside a *Server (the
-// gateway path of FleetRouteKey).
-var builtinHashes = func() map[string]string {
+// benchmark SOCs, computed on first use: the routing-key derivation
+// outside a *Server (the gateway path of FleetRouteKey) and every
+// Server's socHashes share it. The map must not be mutated.
+var builtinHashes = sync.OnceValue(func() map[string]string {
 	m := make(map[string]string)
 	for _, name := range benchdata.Names() {
 		m[name] = benchdata.Shared(name).Hash()
 	}
 	return m
-}()
+})
 
 // routeSOCHash resolves the scenario's chip to its canonical hash
 // without building a compute environment: the routing-key half of
@@ -144,7 +146,7 @@ func routeSOCHash(req *ScenarioRequest) (string, int, error) {
 	case req.SOC != "" && req.SOCText != "":
 		return "", http.StatusBadRequest, fmt.Errorf("use either soc or soc_text, not both")
 	case req.SOC != "":
-		h, ok := builtinHashes[req.SOC]
+		h, ok := builtinHashes()[req.SOC]
 		if !ok {
 			return "", http.StatusNotFound, fmt.Errorf("unknown soc %q; see GET /v1/socs", req.SOC)
 		}

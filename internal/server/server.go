@@ -203,15 +203,13 @@ func New(opts Options) *Server {
 		cache:     resultcache.New(resultcache.Options{Capacity: opts.CacheCapacity}),
 		sem:       make(chan struct{}, opts.Concurrency),
 		socs:      make(map[string]*soc.SOC),
-		socHashes: make(map[string]string),
+		socHashes: builtinHashes(),
 		names:     benchdata.Names(),
 		requests:  make(map[string]*atomic.Int64),
 		durations: make(map[string]*histogram),
 	}
 	for _, name := range s.names {
-		chip := benchdata.Shared(name)
-		s.socs[name] = chip
-		s.socHashes[name] = chip.Hash()
+		s.socs[name] = benchdata.Shared(name)
 	}
 
 	// Adopt every registry backend behind its own circuit breaker, with

@@ -1,7 +1,9 @@
 package wrapper
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"multisite/internal/soc"
 )
@@ -13,39 +15,45 @@ const MaxTableWidth = 512
 
 // Designer memoizes wrapper designs per module. Architecture optimization
 // (Step 1 fitting, Step 2 widening, baseline packing) queries module test
-// times at many widths; the Designer computes the per-chain-count design
+// times at many widths; the Designer computes the per-chain-count time
 // table once per module and answers every width query from the prefix
-// minimum of that table.
+// minimum of that table. The concrete Design at a width is built only when
+// Fit asks for it, and memoized per chain count.
 //
 // A Designer is safe for concurrent use: queries on an already-built
 // module table are lock-free, so parallel architecture optimizations of
 // the same SOC (the sweep engine's common case) do not contend.
 type Designer struct {
 	soc *soc.SOC
-	// mu serializes table builds only; lookups go through the sync.Map.
+	// mu serializes table builds only; lookups load the slot atomically.
 	mu sync.Mutex
-	// tables maps a module index to its immutable *moduleTable, built
-	// lazily on first query.
-	tables sync.Map
+	// tables[mi] is module mi's immutable *moduleTable, built lazily on
+	// first query.
+	tables []atomic.Pointer[moduleTable]
 }
 
-// moduleTable is the per-module design table; immutable once published.
+// moduleTable is the per-module time table; immutable once published
+// apart from the designs memo, whose slots are filled at most once.
 type moduleTable struct {
-	// designs[c-1] is the design of the module with exactly c wrapper
-	// chains, for c in 1..min(MaxUsefulWidth, MaxTableWidth).
-	designs []Design
-	// prefixBest[c-1] is the index (chain count - 1) of the best design
-	// among chain counts 1..c.
-	prefixBest []int
 	// times[w-1] is the best test time at TAM width w: the prefix minimum
-	// of the per-chain-count design times. Architecture optimization's
+	// of the per-chain-count design times, for w in
+	// 1..min(MaxUsefulWidth, MaxTableWidth). Architecture optimization's
 	// inner loops index this flat table instead of copying Design structs.
 	times []int64
+	// best[w-1] is the chain count of the best design among chain counts
+	// 1..w (ties: fewest chains). best, lengths and designs are nil for a
+	// module without patterns.
+	best []int32
+	// lengths are the module's scan chain lengths, longest first.
+	lengths []int
+	// designs[c-1] is the design with exactly c wrapper chains, built by
+	// fitChains on the first Fit that selects chain count c.
+	designs []atomic.Pointer[Design]
 }
 
 // NewDesigner returns a Designer for the given SOC.
 func NewDesigner(s *soc.SOC) *Designer {
-	return &Designer{soc: s}
+	return &Designer{soc: s, tables: make([]atomic.Pointer[moduleTable], len(s.Modules))}
 }
 
 // designers caches one Designer per SOC value so that repeated
@@ -67,40 +75,65 @@ func For(s *soc.SOC) *Designer {
 func (d *Designer) SOC() *soc.SOC { return d.soc }
 
 func (d *Designer) table(mi int) *moduleTable {
-	if v, ok := d.tables.Load(mi); ok {
-		return v.(*moduleTable)
+	if t := d.tables[mi].Load(); t != nil {
+		return t
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if v, ok := d.tables.Load(mi); ok {
-		return v.(*moduleTable)
+	if t := d.tables[mi].Load(); t != nil {
+		return t
 	}
-	m := &d.soc.Modules[mi]
-	cMax := MaxUsefulWidth(m)
-	if cMax > MaxTableWidth {
-		cMax = MaxTableWidth
+	t := buildTable(&d.soc.Modules[mi])
+	d.tables[mi].Store(t)
+	return t
+}
+
+// buildTable computes the module's best time per width without building
+// any Design. The time of the c-chain design fitChains would build depends
+// only on its maxima: the LPT partition's longest bin and, for the wrapper
+// cells, the water level, which waterLevel gives in closed form.
+func buildTable(m *soc.Module) *moduleTable {
+	cMax := min(MaxUsefulWidth(m), MaxTableWidth)
+	t := &moduleTable{times: make([]int64, cMax)}
+	if m.Patterns == 0 {
+		return t // every width tests in zero cycles; Fit needs no design
 	}
-	t := make([]Design, cMax)
-	pb := make([]int, cMax)
-	times := make([]int64, cMax)
-	lengths := m.SortedChainLengths()
+	t.best = make([]int32, cMax)
+	t.lengths = m.SortedChainLengths()
+	t.designs = make([]atomic.Pointer[Design], cMax)
+	sumScan, longest := 0, 0
+	for _, l := range t.lengths {
+		sumScan += l
+		longest = max(longest, l)
+	}
+	scan := make([]int, min(len(t.lengths), cMax))
 	for c := 1; c <= cMax; c++ {
-		if m.Patterns == 0 {
-			t[c-1] = Design{Width: c, Chains: 0, Time: 0}
-		} else {
-			t[c-1] = fitChains(m, lengths, c)
-			t[c-1].Width = c
+		// Once every scan chain has a bin of its own the longest bin is
+		// the longest chain; below that, run fitChains' LPT.
+		maxScan := longest
+		if c < len(t.lengths) {
+			bins := scan[:c]
+			clear(bins)
+			for _, l := range t.lengths {
+				argmin := 0
+				for i := 1; i < c; i++ {
+					if bins[i] < bins[argmin] {
+						argmin = i
+					}
+				}
+				bins[argmin] += l
+			}
+			maxScan = slices.Max(bins)
 		}
-		if c == 1 || t[c-1].Time < t[pb[c-2]].Time {
-			pb[c-1] = c - 1
+		cycles := TestTime(waterLevel(maxScan, sumScan, m.InputCells(), c),
+			waterLevel(maxScan, sumScan, m.OutputCells(), c), m.Patterns)
+		if c == 1 || cycles < t.times[c-2] {
+			t.times[c-1], t.best[c-1] = cycles, int32(c)
 		} else {
-			pb[c-1] = pb[c-2]
+			t.times[c-1], t.best[c-1] = t.times[c-2], t.best[c-2]
 		}
-		times[c-1] = t[pb[c-1]].Time
 	}
-	tab := &moduleTable{designs: t, prefixBest: pb, times: times}
-	d.tables.Store(mi, tab)
-	return tab
+	return t
 }
 
 // Fit returns the best design for module index mi at TAM width w.
@@ -109,14 +142,22 @@ func (d *Designer) Fit(mi, w int) Design {
 	if w < 1 {
 		panic("wrapper.Designer.Fit: width < 1")
 	}
-	t := d.table(mi)
-	c := w
-	if c > len(t.designs) {
-		c = len(t.designs)
+	m := &d.soc.Modules[mi]
+	if m.Patterns == 0 {
+		return Design{Width: w}
 	}
-	best := t.designs[t.prefixBest[c-1]]
-	best.Width = w
-	return best
+	t := d.table(mi)
+	c := int(t.best[min(w, len(t.best))-1])
+	slot := &t.designs[c-1]
+	best := slot.Load()
+	if best == nil {
+		built := fitChains(m, t.lengths, c)
+		slot.CompareAndSwap(nil, &built) // a racing Fit may publish an identical design first
+		best = slot.Load()
+	}
+	out := *best
+	out.Width = w
+	return out
 }
 
 // TimeTable returns the dense best-time table of module mi: entry w-1 is
@@ -167,12 +208,6 @@ func (d *Designer) MinWidth(mi int, depth int64, maxW int) (int, bool) {
 		}
 	}
 	return lo, true
-}
-
-// MinTime returns the smallest achievable test time of module mi.
-func (d *Designer) MinTime(mi int) int64 {
-	tt := d.table(mi).times
-	return tt[len(tt)-1]
 }
 
 // MaxWidthTable exposes the number of distinct useful chain counts of

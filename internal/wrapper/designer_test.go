@@ -2,6 +2,7 @@ package wrapper
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -66,9 +67,13 @@ func TestDesignerMinWidthInfeasible(t *testing.T) {
 func TestDesignerMinTime(t *testing.T) {
 	s := designerSOC()
 	d := NewDesigner(s)
+	// The table's last entry is the module's smallest achievable time:
+	// Fit at MaxUsefulWidth, where every chain and cell can sit alone.
 	for _, mi := range s.TestableModules() {
-		if got, want := d.MinTime(mi), MinTime(&s.Modules[mi]); got != want {
-			t.Errorf("module %d: MinTime designer %d, direct %d", mi, got, want)
+		m := &s.Modules[mi]
+		tt := d.TimeTable(mi)
+		if got, want := tt[len(tt)-1], Fit(m, MaxUsefulWidth(m)).Time; got != want {
+			t.Errorf("module %d: min time designer %d, direct %d", mi, got, want)
 		}
 	}
 }
@@ -111,6 +116,11 @@ func TestDesignerConcurrent(t *testing.T) {
 				want := Fit(&s.Modules[mi], w).Time
 				if got := d.Time(mi, w); got != want {
 					errs <- "mismatch under concurrency"
+					return
+				}
+				// Racing Fits publish the memoized design once.
+				if got := d.Fit(mi, w).Time; got != want {
+					errs <- "design mismatch under concurrency"
 					return
 				}
 			}
@@ -172,5 +182,91 @@ func TestDesignerTimeSaturatesBeyondTable(t *testing.T) {
 		if got, want := d.Time(mi, len(tt)+37), tt[len(tt)-1]; got != want {
 			t.Errorf("module %d: time beyond table = %d, want saturated %d", mi, got, want)
 		}
+	}
+}
+
+// fitsUpTo returns Fit(m, w) for w = 1..n in one pass over chain counts:
+// Fit(m, w) is the first fastest fitChains design over chain counts
+// 1..min(w, MaxUsefulWidth(m)), so each width extends the previous width's
+// search by at most one chain count.
+func fitsUpTo(m *soc.Module, n int) []Design {
+	out := make([]Design, n)
+	lengths := m.SortedChainLengths()
+	best := Design{Time: -1}
+	for w := 1; w <= n; w++ {
+		if m.Patterns == 0 {
+			out[w-1] = Design{Width: w}
+			continue
+		}
+		if w <= MaxUsefulWidth(m) {
+			if d := fitChains(m, lengths, w); best.Time < 0 || d.Time < best.Time {
+				best = d
+			}
+		}
+		out[w-1] = best
+		out[w-1].Width = w
+	}
+	return out
+}
+
+// checkDesignerMatchesFit pins module mi of d against the reference Fit:
+// the time table entry at every table width, and the whole design —
+// chain partition, cell placement and maxima — up to three widths past
+// the table, where times saturate.
+func checkDesignerMatchesFit(t *testing.T, d *Designer, mi int) {
+	t.Helper()
+	m := &d.SOC().Modules[mi]
+	tt := d.TimeTable(mi)
+	n := len(tt)
+	if n == MaxUsefulWidth(m) {
+		n += 3 // past the table only when it is not capped
+	}
+	ref := fitsUpTo(m, n)
+	for _, w := range []int{1, n} {
+		if got := Fit(m, w); !reflect.DeepEqual(ref[w-1], got) {
+			t.Fatalf("module %+v width %d: fitsUpTo %+v, Fit %+v", m, w, ref[w-1], got)
+		}
+	}
+	for w := 1; w <= n; w++ {
+		if w <= len(tt) && tt[w-1] != ref[w-1].Time {
+			t.Fatalf("module %+v width %d: table %d, Fit %d", m, w, tt[w-1], ref[w-1].Time)
+		}
+		if got := d.Fit(mi, w); !reflect.DeepEqual(got, ref[w-1]) {
+			t.Fatalf("module %+v width %d:\nDesigner.Fit %+v\nFit          %+v", m, w, got, ref[w-1])
+		}
+	}
+}
+
+func TestDesignerMatchesFitRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	s := &soc.SOC{Name: "random"}
+	for i := 0; i < 1000; i++ {
+		m := randomModule(rng)
+		switch i % 6 {
+		case 1: // no scan chains: wrapper cells only
+			m.ScanChains = nil
+		case 2: // no terminals: scan chains only
+			m.Inputs, m.Outputs, m.Bidirs = 0, 0, 0
+			m.ScanChains = append(m.ScanChains, soc.ScanChain{Length: 1 + rng.Intn(120)})
+		case 3: // nothing to shift at all
+			m.Inputs, m.Outputs, m.Bidirs, m.ScanChains = 0, 0, 0, nil
+		case 4: // no patterns
+			m.Patterns = 0
+		}
+		m.ID = i
+		s.Modules = append(s.Modules, *m)
+	}
+	d := NewDesigner(s)
+	for mi := range s.Modules {
+		checkDesignerMatchesFit(t, d, mi)
+	}
+}
+
+func TestDesignerFitRepeatAllocatesNothing(t *testing.T) {
+	s := designerSOC()
+	d := NewDesigner(s)
+	d.Fit(3, 8)
+	if n := testing.AllocsPerRun(100, func() { d.Fit(3, 8) }); n != 0 {
+		t.Errorf("repeated Designer.Fit allocates %v times per call, want 0", n)
 	}
 }

@@ -215,6 +215,15 @@ func waterFill(base []int, n int) []int {
 	return cells
 }
 
+// waterLevel returns the largest bin load waterFill leaves when it spreads
+// n unit cells over c bins whose base loads have maximum maxBase and sum
+// sumBase. The cells raise the lowest bins to a common level; that level
+// exceeds the tallest base only once all c bins are level, at
+// ceil((sumBase+n)/c).
+func waterLevel(maxBase, sumBase, n, c int) int {
+	return max(maxBase, (sumBase+n+c-1)/c)
+}
+
 // Validate checks a design against its module: all scan cells and wrapper
 // cells are placed, and the reported maxima/time are consistent.
 func (d *Design) Validate(m *soc.Module) error {
@@ -279,13 +288,4 @@ func MaxUsefulWidth(m *soc.Module) int {
 		w = 1
 	}
 	return w
-}
-
-// MinTime returns the smallest achievable test time for the module (at
-// width MaxUsefulWidth).
-func MinTime(m *soc.Module) int64 {
-	if m.Patterns == 0 {
-		return 0
-	}
-	return Fit(m, MaxUsefulWidth(m)).Time
 }

@@ -142,6 +142,26 @@ func TestWaterFillOptimal(t *testing.T) {
 			t.Errorf("waterFill(%v,%d) max = %d, want %d", c.base, c.n, max, c.wantMax)
 		}
 	}
+	// The closed-form level the Designer's tables use agrees with the
+	// level waterFill actually reaches.
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		base := make([]int, 1+rng.Intn(12))
+		maxBase, sumBase := 0, 0
+		for j := range base {
+			base[j] = rng.Intn(60)
+			maxBase = max(maxBase, base[j])
+			sumBase += base[j]
+		}
+		n := rng.Intn(250)
+		level := 0
+		for j, add := range waterFill(base, n) {
+			level = max(level, base[j]+add)
+		}
+		if got := waterLevel(maxBase, sumBase, n, len(base)); got != level {
+			t.Fatalf("waterLevel(%v,%d) = %d, waterFill reaches %d", base, n, got, level)
+		}
+	}
 }
 
 func TestWaterFillZero(t *testing.T) {
@@ -167,14 +187,14 @@ func TestMaxUsefulWidth(t *testing.T) {
 func TestMinTimeSaturates(t *testing.T) {
 	m := &soc.Module{ID: 1, Inputs: 4, Outputs: 4, Patterns: 10,
 		ScanChains: soc.ChainsOfLengths(30, 20)}
-	min := MinTime(m)
+	min := Fit(m, MaxUsefulWidth(m)).Time
 	// Beyond MaxUsefulWidth the time cannot drop below min.
 	if got := Fit(m, MaxUsefulWidth(m)+10).Time; got != min {
 		t.Errorf("time beyond max useful width = %d, want %d", got, min)
 	}
 	// The longest chain bounds the best shift length.
 	if lb := int64(1+30)*10 + 0; min < lb {
-		t.Errorf("MinTime %d below structural bound %d", min, lb)
+		t.Errorf("min time %d below structural bound %d", min, lb)
 	}
 }
 
